@@ -20,11 +20,9 @@
  * benchmark cross-checks their image checksums.
  *
  * Every variant also reports a per-stage wall-clock breakdown
- * (preprocess / binning / rasterize, from StageTimes) so
- * BENCH_frame.json records where the cycles went; with --fast-alpha
- * the opt-in simdExp alpha path is timed as extra `tile-fa` / `gw-fa`
- * variants and validated by PSNR against the exact image (reported,
- * and required to clear 55 dB).
+ * (preprocess / binning / rasterize, from StageTimes) and the blend
+ * ops per frame, so BENCH_frame.json records where the cycles went
+ * and the raster unit cost (ns per blend op).
  *
  * With --trajectory a temporal-coherence section replays a slow-orbit
  * held camera stream (forSceneArc(--arc) with each pose held --hold
@@ -40,7 +38,7 @@
  * Usage:
  *   frame_throughput [--scenes LIST] [--frames N] [--reps N]
  *                    [--renderers tile,gw] [--reference]
- *                    [--threads LIST] [--subview N] [--fast-alpha]
+ *                    [--threads LIST] [--subview N]
  *                    [--workers N] [--scale F] [--out FILE]
  *                    [--trajectory] [--temporal K] [--hold H]
  *                    [--arc F] [--traj-frames N]
@@ -99,8 +97,6 @@ usage(const char *argv0)
         "                   (adds a <renderer>-tN variant per count)\n"
         "  --subview N      Gaussian-wise Cmode sub-view side; 0 =\n"
         "                   full view (default: 128)\n"
-        "  --fast-alpha     also time the simdExp fast-alpha paths\n"
-        "                   (tile-fa/gw-fa variants + PSNR check)\n"
         "  --workers N      pool for the base tile/gw variants;\n"
         "                   <2 = serial (default: 1)\n"
         "  --trajectory     temporal-coherence section: cold vs exact\n"
@@ -129,13 +125,13 @@ usage(const char *argv0)
 struct Variant
 {
     std::string name;     ///< row label, e.g. "gw-t4"
-    std::string family;   ///< checksum group (tile/gw/tile-fa/gw-fa)
+    std::string family;   ///< checksum group (tile/gw)
     bool reference = false;
     ThreadPool *pool = nullptr;
     int threads = 0;      ///< 0 = not part of the thread sweep
-    bool fast = false;    ///< fast-alpha (simdExp) configuration
     double check = 0.0;   ///< checksum summed over all timed frames
     StageTimes stage_sum{}; ///< per-stage ms summed over timed frames
+    double blend_ops_sum = 0.0; ///< blend ops summed over timed frames
     std::size_t stage_samples = 0;
 };
 
@@ -160,7 +156,6 @@ main(int argc, char **argv)
     double traj_arc = 0.001;
     bool trajectory = false;
     bool reference = false;
-    bool fast_alpha = false;
     float scale = benchScale();
 
     for (int i = 1; i < argc; ++i) {
@@ -186,8 +181,6 @@ main(int argc, char **argv)
             renderers_arg = value();
         } else if (flag == "--reference") {
             reference = true;
-        } else if (flag == "--fast-alpha") {
-            fast_alpha = true;
         } else if (flag == "--threads") {
             threads_arg = value();
         } else if (flag == "--subview") {
@@ -276,11 +269,10 @@ main(int argc, char **argv)
     bench::banner("frame_throughput",
                   "host frames/s of the functional renderers", scale);
     std::printf("frames/scene %d, reps %d, base workers %d, gw sub-view "
-                "%d%s%s%s\n",
+                "%d%s%s\n",
                 frames, reps, workers, subview,
                 reference ? ", scalar references timed" : "",
-                thread_counts.empty() ? "" : ", thread sweep on",
-                fast_alpha ? ", fast-alpha timed" : "");
+                thread_counts.empty() ? "" : ", thread sweep on");
 
     ThreadPool base_pool(workers);
     ThreadPool *pool_or_null = workers > 1 ? &base_pool : nullptr;
@@ -317,18 +309,12 @@ main(int argc, char **argv)
         double speedup_vs_t1;  ///< from ms_min (noise-robust)
     };
     std::vector<ScalingRow> scaling;
-    struct PsnrRow
-    {
-        std::string scene;
-        std::string renderer;
-        double psnr_db;
-    };
-    std::vector<PsnrRow> psnr_rows;
     struct StageRow
     {
         double pre_ms = 0.0;
         double bin_ms = 0.0;
         double raster_ms = 0.0;
+        double blend_ops = 0.0;
     };
     // (scene, variant) -> mean per-stage ms over the timed samples.
     std::map<std::pair<std::string, std::string>, StageRow> stage_rows;
@@ -352,10 +338,6 @@ main(int argc, char **argv)
 
     GaussianWiseConfig gw_cfg;
     gw_cfg.subview_size = subview;
-    GaussianWiseConfig gw_fa_cfg = gw_cfg;
-    gw_fa_cfg.fast_alpha = true;
-    TileRendererConfig tile_fa_cfg;
-    tile_fa_cfg.fast_alpha = true;
 
     for (SceneId id : scenes) {
         SceneSpec spec = scenePreset(id);
@@ -368,45 +350,23 @@ main(int argc, char **argv)
                     spec.image_height, frames);
 
         std::vector<Variant> variants;
-        if (run_tile) {
-            variants.push_back(
-                {"tile", "tile", false, pool_or_null, 0, false});
+        for (const char *family : {"tile", "gw"}) {
+            if (!(std::string(family) == "tile" ? run_tile : run_gw))
+                continue;
+            variants.push_back({family, family, false, pool_or_null, 0});
             if (reference)
                 variants.push_back(
-                    {"tile-ref", "tile", true, nullptr, 0, false});
+                    {std::string(family) + "-ref", family, true, nullptr,
+                     0});
             for (int t : thread_counts)
                 variants.push_back(
-                    {"tile-t" + std::to_string(t), "tile", false,
-                     t > 1 ? sweep_pools.at(t).get() : nullptr, t,
-                     false});
-            if (fast_alpha)
-                variants.push_back({"tile-fa", "tile-fa", false,
-                                    pool_or_null, 0, true});
-        }
-        if (run_gw) {
-            variants.push_back(
-                {"gw", "gw", false, pool_or_null, 0, false});
-            if (reference)
-                variants.push_back(
-                    {"gw-ref", "gw", true, nullptr, 0, false});
-            for (int t : thread_counts)
-                variants.push_back(
-                    {"gw-t" + std::to_string(t), "gw", false,
-                     t > 1 ? sweep_pools.at(t).get() : nullptr, t,
-                     false});
-            if (fast_alpha)
-                variants.push_back(
-                    {"gw-fa", "gw-fa", false, pool_or_null, 0, true});
+                    {std::string(family) + "-t" + std::to_string(t),
+                     family, false,
+                     t > 1 ? sweep_pools.at(t).get() : nullptr, t});
         }
 
         TileRenderer tile_renderer;
-        TileRenderer tile_renderer_fa(tile_fa_cfg);
         GaussianWiseRenderer gw_renderer(gw_cfg);
-        GaussianWiseRenderer gw_renderer_fa(gw_fa_cfg);
-
-        auto is_tile_family = [](const Variant &v) {
-            return v.family.rfind("tile", 0) == 0;
-        };
         auto render_once = [&](Variant &v, int frame,
                                bool record) -> std::pair<double, double> {
             const Camera &cam =
@@ -414,28 +374,28 @@ main(int argc, char **argv)
             auto start = std::chrono::steady_clock::now();
             Image img;
             StageTimes stage;
-            if (is_tile_family(v)) {
+            std::int64_t blend_ops = 0;
+            if (v.family == "tile") {
                 StandardFlowStats st;
-                const TileRenderer &r =
-                    v.fast ? tile_renderer_fa : tile_renderer;
                 img = v.reference
-                          ? r.renderReference(cloud, cam, st)
-                          : r.render(cloud, cam, st, v.pool);
+                          ? tile_renderer.renderReference(cloud, cam, st)
+                          : tile_renderer.render(cloud, cam, st, v.pool);
                 stage = st.stage;
+                blend_ops = st.blend_ops;
             } else {
                 GaussianWiseStats st;
-                const GaussianWiseRenderer &r =
-                    v.fast ? gw_renderer_fa : gw_renderer;
                 img = v.reference
-                          ? r.renderReference(cloud, cam, st)
-                          : r.render(cloud, cam, st, v.pool);
+                          ? gw_renderer.renderReference(cloud, cam, st)
+                          : gw_renderer.render(cloud, cam, st, v.pool);
                 stage = st.stage;
+                blend_ops = st.blend_ops;
             }
             double ms = nowMsSince(start);
             if (record) {
                 v.stage_sum.preprocess_ms += stage.preprocess_ms;
                 v.stage_sum.binning_ms += stage.binning_ms;
                 v.stage_sum.raster_ms += stage.raster_ms;
+                v.blend_ops_sum += static_cast<double>(blend_ops);
                 ++v.stage_samples;
             }
             return {ms, imageChecksum(img)};
@@ -479,42 +439,13 @@ main(int argc, char **argv)
             stage_rows[{scene, v.name}] = {
                 v.stage_sum.preprocess_ms / n,
                 v.stage_sum.binning_ms / n,
-                v.stage_sum.raster_ms / n};
-        }
-
-        // Fast-alpha accuracy: PSNR of the simdExp image against the
-        // exact image (frame 0); the contract is >= 55 dB.
-        if (fast_alpha) {
-            const Camera &cam0 = traj.frame(0);
-            auto clamp_inf = [](double p) {
-                return std::isinf(p) ? 999.0 : p;
-            };
-            if (run_tile) {
-                StandardFlowStats s1, s2;
-                double p = clamp_inf(
-                    psnr(tile_renderer.render(cloud, cam0, s1),
-                         tile_renderer_fa.render(cloud, cam0, s2)));
-                std::printf("%-10s tile fast-alpha PSNR: %.1f dB\n",
-                            scene.c_str(), p);
-                psnr_rows.push_back({scene, "tile", p});
-            }
-            if (run_gw) {
-                GaussianWiseStats s1, s2;
-                double p = clamp_inf(
-                    psnr(gw_renderer.render(cloud, cam0, s1),
-                         gw_renderer_fa.render(cloud, cam0, s2)));
-                std::printf("%-10s gw   fast-alpha PSNR: %.1f dB\n",
-                            scene.c_str(), p);
-                psnr_rows.push_back({scene, "gw", p});
-            }
+                v.stage_sum.raster_ms / n, v.blend_ops_sum / n};
         }
 
         // Every variant of a renderer family is bit-identical
         // (optimized vs scalar reference, serial vs any worker
-        // count); their summed checksums must agree exactly.  The
-        // fast-alpha variants form their own families: approximate,
-        // but still deterministic run to run.
-        for (const char *family : {"tile", "gw", "tile-fa", "gw-fa"}) {
+        // count); their summed checksums must agree exactly.
+        for (const char *family : {"tile", "gw"}) {
             const Variant *first = nullptr;
             for (const Variant &v : variants) {
                 if (v.family != family)
@@ -696,6 +627,11 @@ main(int argc, char **argv)
             const StageRow stage_mean =
                 stage_it != stage_rows.end() ? stage_it->second
                                              : StageRow{};
+            // Raster unit cost: mean raster time over mean blend ops.
+            const double ns_per_blend =
+                stage_mean.blend_ops > 0.0
+                    ? stage_mean.raster_ms * 1e6 / stage_mean.blend_ops
+                    : 0.0;
             std::snprintf(
                 line, sizeof line,
                 "%s    {\"scene\": \"%s\", \"renderer\": \"%s\", "
@@ -704,11 +640,13 @@ main(int argc, char **argv)
                 "\"ms_p99\": %.4f, \"ms_min\": %.4f, "
                 "\"fps_mean\": %.4f, \"fps_p50\": %.4f, "
                 "\"pre_ms_mean\": %.4f, \"bin_ms_mean\": %.4f, "
-                "\"raster_ms_mean\": %.4f}",
+                "\"raster_ms_mean\": %.4f, \"blend_ops\": %.0f, "
+                "\"raster_ns_per_blend\": %.4f}",
                 first_row ? "" : ",\n", scene.c_str(), ren.c_str(),
                 ms.count, ms.mean, ms.p50, ms.p90, ms.p99, ms.min,
                 fps.mean, fps.p50, stage_mean.pre_ms,
-                stage_mean.bin_ms, stage_mean.raster_ms);
+                stage_mean.bin_ms, stage_mean.raster_ms,
+                stage_mean.blend_ops, ns_per_blend);
             json += line;
             first_row = false;
         }
@@ -760,21 +698,6 @@ main(int argc, char **argv)
                           "\"renderer\": \"%s\", \"speedup\": %.4f}",
                           first ? "" : ",\n", s.scene.c_str(),
                           s.renderer.c_str(), s.speedup);
-            json += line;
-            first = false;
-        }
-        json += "\n  ]";
-    }
-    if (!psnr_rows.empty()) {
-        json += ",\n  \"fast_alpha_psnr\": [\n";
-        bool first = true;
-        for (const PsnrRow &p : psnr_rows) {
-            char line[200];
-            std::snprintf(line, sizeof line,
-                          "%s    {\"scene\": \"%s\", "
-                          "\"renderer\": \"%s\", \"psnr_db\": %.4f}",
-                          first ? "" : ",\n", p.scene.c_str(),
-                          p.renderer.c_str(), p.psnr_db);
             json += line;
             first = false;
         }

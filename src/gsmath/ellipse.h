@@ -20,12 +20,40 @@
 #include <cstdint>
 
 #include "gsmath/mat.h"
+#include "gsmath/simd.h"
 #include "gsmath/vec.h"
 
 namespace gcc3d {
 
 /** Minimum alpha a pixel must receive to be considered covered (1/255). */
 inline constexpr float kAlphaMin = 1.0f / 255.0f;
+
+/**
+ * The one alpha function (Eq. 9): alpha = min(0.99, omega * exp(-q/2))
+ * for Mahalanobis quadratic form @p q and opacity @p omega.  Every
+ * render path, reference and optimized, evaluates alpha here, with
+ * simd::simdExpScalar as the exponential (relative error < 3e-7
+ * against std::exp).
+ */
+inline float
+alphaFromQ(float q, float omega)
+{
+    float a = omega * simd::simdExpScalar(-0.5f * q);
+    return a > 0.99f ? 0.99f : a;
+}
+
+/**
+ * Lane-wise twin of alphaFromQ(float, float): simd::simdExp is
+ * bit-identical per lane to simdExpScalar and simd::min(0.99, a)
+ * clamps exactly like the scalar select, so every lane equals the
+ * scalar alpha of the same (q, omega).
+ */
+inline simd::FloatV
+alphaFromQ(const simd::FloatV &q, const simd::FloatV &omega)
+{
+    return simd::min(simd::FloatV(0.99f),
+                     omega * simd::simdExp(simd::FloatV(-0.5f) * q));
+}
 
 /** Eigenvalues (l1 >= l2) and rotation angle of a symmetric 2x2 matrix. */
 struct Eigen2
@@ -95,9 +123,7 @@ struct Ellipse
     float
     alphaAt(const Vec2 &p, float omega) const
     {
-        float q = quadraticForm(p);
-        float a = omega * std::exp(-0.5f * q);
-        return a > 0.99f ? 0.99f : a;
+        return alphaFromQ(quadraticForm(p), omega);
     }
 };
 

@@ -124,6 +124,36 @@ struct MaskV
 #endif
     }
 
+    /**
+     * Inverse of bits(): lane i is true iff bit i of @p b is set.
+     * Bits at and above kWidth are ignored.
+     */
+    static MaskV
+    fromBits(unsigned b)
+    {
+#if defined(GCC3D_SIMD_AVX2)
+        const __m256i lane_bit =
+            _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+        const __m256i sel = _mm256_and_si256(
+            _mm256_set1_epi32(static_cast<int>(b)), lane_bit);
+        return {_mm256_castsi256_ps(_mm256_cmpeq_epi32(sel, lane_bit))};
+#elif defined(GCC3D_SIMD_SSE2)
+        const __m128i lane_bit = _mm_setr_epi32(1, 2, 4, 8);
+        const __m128i sel = _mm_and_si128(
+            _mm_set1_epi32(static_cast<int>(b)), lane_bit);
+        return {_mm_castsi128_ps(_mm_cmpeq_epi32(sel, lane_bit))};
+#elif defined(GCC3D_SIMD_NEON)
+        const std::uint32_t lanes[4] = {1, 2, 4, 8};
+        const uint32x4_t lane_bit = vld1q_u32(lanes);
+        return {vtstq_u32(vdupq_n_u32(b), lane_bit)};
+#else
+        MaskV r;
+        for (int i = 0; i < 4; ++i)
+            r.m[i] = (b >> i) & 1u ? 0xffffffffu : 0u;
+        return r;
+#endif
+    }
+
     /** Lane i -> bit i of the result. */
     unsigned
     bits() const
@@ -819,12 +849,18 @@ inline constexpr float kExpHi = 88.3762626647949f;
  * on one lane (the unit tests verify simdExp is lane-for-lane
  * bit-identical to this).
  *
+ * This pair is the renderers' one alpha exponential (gsmath's
+ * alphaFromQ): the vector kernels call simdExp and the scalar
+ * reference paths call this transcription, which is what keeps them
+ * bit-identical.
+ *
  * Accuracy contract: relative error < 3e-7 against std::exp over
  * [-87.3, 88.3].  Inputs are clamped to that interval first, so the
  * result is always a positive normal float — in particular
  * simdExpScalar(-inf) is ~1.2e-38, NOT 0.  Callers gating on an
- * alpha/cutoff threshold (the renderers' fast-alpha mode) are
- * unaffected: their inputs live in [-6, 0] by construction.
+ * alpha/cutoff threshold are unaffected: the renderers only
+ * evaluate alpha where q <= 2 ln(255 omega) + margin, i.e. on
+ * inputs in roughly [-6, 0].
  */
 inline float
 simdExpScalar(float x)

@@ -55,8 +55,7 @@ pixelBoundary(const Ellipse &e, float omega, int width, int height,
 
         ++stats.influence_pixels;
         if (visit) {
-            float a = std::min(0.99f, omega * std::exp(-0.5f * q));
-            visit(x, y, a);
+            visit(x, y, alphaFromQ(q, omega));
         }
 
         static constexpr int kDx[8] = {1, -1, 0, 0, 1, 1, -1, -1};
@@ -199,11 +198,8 @@ BlockTraversal::traverse(const Ellipse &e, float omega,
                             block_visit(bx, by);
                         visited_block = true;
                     }
-                    if (visit) {
-                        float a = std::min(0.99f,
-                                           omega * std::exp(-0.5f * q));
-                        visit(x, y, a);
-                    }
+                    if (visit)
+                        visit(x, y, alphaFromQ(q, omega));
                 }
             }
         }

@@ -49,7 +49,7 @@ struct BoundaryStats
 /**
  * Visitor invoked for every influence pixel.
  * @param x,y    pixel coordinates
- * @param alpha  alpha contribution at the pixel (>= 1/255)
+ * @param alpha  alpha contribution at the pixel: alphaFromQ(q, omega)
  */
 using PixelVisitor = std::function<void(int x, int y, float alpha)>;
 
@@ -85,7 +85,14 @@ pixelCenter(int x, int y)
     return {static_cast<float>(x) + 0.5f, static_cast<float>(y) + 0.5f};
 }
 
-/** Alpha-threshold cutoff on the quadratic form: q <= 2 ln(255 omega). */
+/**
+ * Alpha-threshold cutoff on the quadratic form: q <= 2 ln(255 omega),
+ * the exact-arithmetic solution of alphaFromQ(q, omega) >= 1/255.
+ * E(p) is decided on q against this value, so the approximation of
+ * the alpha exponential (simdExpScalar, relative error < 3e-7) never
+ * moves a pixel across the boundary; it only shifts the alpha value
+ * a passing pixel blends with.
+ */
 inline float
 quadraticCutoff(float omega)
 {
@@ -190,34 +197,26 @@ class BlockTraversal
      *
      *  - the visitors are template parameters (no std::function call
      *    per pixel);
-     *  - the visitor receives the quadratic form q instead of the
-     *    alpha, so the exp() is paid lazily — only for pixels whose
-     *    transmittance is still live (alpha = min(0.99, omega *
-     *    exp(-0.5 q)), bit-identical where it is computed);
-     *  - within a visited block, each pixel row is restricted to the
-     *    margin-padded interval where the conic can still reach the
-     *    alpha threshold (the tile renderer's row-interval bound);
-     *    pixels outside provably fail E(p), and the block's alpha
-     *    evaluations are accounted analytically, so the reported
-     *    stats and the visit sequence are unchanged;
-     *  - each row interval is evaluated kWidth pixels at a time
-     *    through the gsmath SIMD layer — every lane runs the exact
-     *    scalar op sequence, so q (and every E(p) decision) stays
-     *    bit-identical to the scalar reference.
+     *  - the block's alpha evaluations are accounted analytically
+     *    (the whole block streams through the PE array), so the
+     *    reported stats do not depend on how the rows are scanned;
+     *  - each block row is evaluated kWidth pixels at a time through
+     *    the gsmath SIMD layer, and the visitor receives a whole lane
+     *    group: every lane runs the exact scalar op sequence, so q
+     *    (and every E(p) decision) is bit-identical to the scalar
+     *    reference, and the group's alpha vector is the lane-wise
+     *    alphaFromQ, bit-identical to the alpha traverse() hands its
+     *    visitor for the same pixel.
      *
-     * With PassAlpha = true (the renderers' opt-in fast-alpha mode)
-     * the traversal additionally evaluates alpha for the whole lane
-     * group with the vectorized polynomial exponential and hands the
-     * visitor alpha = min(0.99, omega * simdExp(-q/2)) instead of q.
-     * Walk order, pass/fail decisions and stats are unchanged; only
-     * the alpha value is approximate (simdExp contract: relative
-     * error < 3e-7).
-     *
-     * @p visit   callable (int x, int y, float q_or_alpha)
+     * @p visit   callable (int x, int y, unsigned pass, FloatV alpha):
+     *            lane i is pixel (x + i, y); bit i of @p pass is set
+     *            iff that pixel is inside the row and passes E(p)
+     *            (never 0).  Lanes without their bit carry no
+     *            meaning.  Groups arrive in the same row-major order
+     *            traverse() visits pixels.
      * @p block_visit callable (int bx, int by)
      */
-    template <bool PassAlpha = false, typename Visit,
-              typename BlockVisit>
+    template <typename Visit, typename BlockVisit>
     BoundaryStats
     traverseWith(const Ellipse &e, float omega,
                  const std::vector<std::uint8_t> *t_mask, Visit &&visit,
@@ -332,28 +331,24 @@ class BlockTraversal
 
             if (!masked) {
                 // The whole block streams through the n x n PE array;
-                // its alpha evaluations are accounted analytically so
-                // the interval skips below don't change the stats.
+                // its alpha evaluations are accounted analytically.
                 ++stats.visited_blocks;
                 stats.alpha_evals +=
                     static_cast<std::int64_t>(x1 - x0 + 1) *
                     (y1 - y0 + 1);
                 bool visited_block = false;
                 for (int y = y0; y <= y1; ++y) {
-                    const int row_x0 = x0;
-                    const int row_x1 = x1;
                     // Vectorized row scan: q for kWidth pixels per
                     // step, each lane the exact scalar op sequence
                     // (bit-equal q).  The pass mask mirrors the
-                    // scalar `q > cutoff -> skip` comparison exactly,
-                    // then passing lanes are visited in x order.
+                    // scalar `q > cutoff -> skip` comparison exactly;
+                    // the group goes to the visitor whole.
                     const float fdy =
                         (static_cast<float>(y) + 0.5f) - fcy;
                     const simd::FloatV dyv(fdy);
-                    for (int x = row_x0; x <= row_x1;
-                         x += simd::kWidth) {
-                        const int nlane = std::min<int>(
-                            simd::kWidth, row_x1 - x + 1);
+                    for (int x = x0; x <= x1; x += simd::kWidth) {
+                        const int nlane =
+                            std::min<int>(simd::kWidth, x1 - x + 1);
                         simd::FloatV dxv =
                             (simd::FloatV::iotaFrom(x) + half_v) - cxv;
                         simd::FloatV qv =
@@ -364,27 +359,13 @@ class BlockTraversal
                             ~(qv > cutoff_v).bits();
                         if (bits == 0)
                             continue;
-                        float qa_lane[simd::kWidth];
-                        if constexpr (PassAlpha)
-                            simd::min(simd::FloatV(0.99f),
-                                      omega_v *
-                                          simd::simdExp(
-                                              qv *
-                                              simd::FloatV(-0.5f)))
-                                .store(qa_lane);
-                        else
-                            qv.store(qa_lane);
-                        do {
-                            const int i = std::countr_zero(bits);
-                            bits &= bits - 1;
-                            ++stats.influence_pixels;
-                            if (!visited_block) {
-                                ++stats.active_blocks;
-                                block_visit(bx, by);
-                                visited_block = true;
-                            }
-                            visit(x + i, y, qa_lane[i]);
-                        } while (bits != 0);
+                        stats.influence_pixels += std::popcount(bits);
+                        if (!visited_block) {
+                            ++stats.active_blocks;
+                            block_visit(bx, by);
+                            visited_block = true;
+                        }
+                        visit(x, y, bits, alphaFromQ(qv, omega_v));
                     }
                 }
             }

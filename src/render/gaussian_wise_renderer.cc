@@ -1,11 +1,13 @@
 #include "render/gaussian_wise_renderer.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <utility>
 
 #include "obs/perf_recorder.h"
+#include "render/blend_planes.h"
 #include "runtime/parallel_for.h"
 #include "runtime/thread_pool.h"
 
@@ -187,9 +189,9 @@ struct GaussianWiseRenderer::SplatCache
 };
 
 /**
- * Reusable per-view working set: the transmittance plane, T-mask,
- * per-block live counts and the group splat list are assigned (not
- * reallocated) per sub-view, so Cmode frames touching dozens of
+ * Reusable per-view working set: the transmittance and colour planes,
+ * T-mask, per-block live counts and the group splat list are assigned
+ * (not reallocated) per sub-view, so Cmode frames touching dozens of
  * sub-views stop churning the allocator.  One instance lives per
  * worker thread.
  */
@@ -202,7 +204,7 @@ struct GaussianWiseRenderer::ViewScratch
         std::uint32_t pos;  ///< candidate position (flag slot)
     };
 
-    std::vector<float> transmittance;
+    BlendPlanes planes;  ///< view-local T and colour, stride view_w
     std::vector<std::uint8_t> t_mask;
     std::vector<int> block_live;
     std::vector<std::uint32_t> positions;
@@ -240,8 +242,8 @@ GaussianWiseRenderer::renderView(const GaussianCloud &cloud,
     BlockTraversal traversal(config_.block_size, view_w, view_h);
     const int bx_n = traversal.blocksX();
     const int by_n = traversal.blocksY();
-    scratch.transmittance.assign(
-        static_cast<std::size_t>(view_w) * view_h, 1.0f);
+    BlendPlanes &planes = scratch.planes;
+    planes.reset(static_cast<std::size_t>(view_w) * view_h);
     scratch.t_mask.assign(static_cast<std::size_t>(bx_n) * by_n, 0);
     scratch.block_live.assign(scratch.t_mask.size(), 0);
     for (int by = 0; by < by_n; ++by) {
@@ -254,14 +256,13 @@ GaussianWiseRenderer::renderView(const GaussianCloud &cloud,
                 w * h;
         }
     }
-    float *transmittance = scratch.transmittance.data();
+    const float *transmittance = planes.t.data();
     int *block_live = scratch.block_live.data();
     std::uint8_t *t_mask = scratch.t_mask.data();
-    // Hoisted out of the per-pixel visitor: float image stores could
+    // Hoisted out of the blend visitor: float plane stores could
     // alias float members under type-based aliasing, forcing reloads.
-    const float termination_t = config_.termination_t;
     const int block_size = config_.block_size;
-    const bool fast_alpha = config_.fast_alpha;
+    const simd::FloatV term_v(config_.termination_t);
     std::int64_t live = static_cast<std::int64_t>(view_w) * view_h;
 
     // ---- Stages II-IV, group by group, near to far. ----
@@ -365,57 +366,45 @@ GaussianWiseRenderer::renderView(const GaussianCloud &cloud,
                                    ? gs.splat.color
                                    : shColorFor(cloud[gs.id], cam);
 
-            const float opacity = gs.splat.opacity;
             // Blends are tallied in a register-resident local and
             // flushed once per splat: the counters live behind
-            // references, so per-pixel increments would be memory
+            // references, so per-group increments would be memory
             // read-modify-writes in the hottest loop.
             std::int64_t splat_blends = 0;
-            auto blend_body = [&](int x, int y, float a, float &t) {
-                ++splat_blends;
-                image.at(view_x0 + x, view_y0 + y) += color * (a * t);
-                t *= 1.0f - a;
-                if (t < termination_t) {
-                    --live;
-                    std::size_t bi =
-                        static_cast<std::size_t>(y / block_size) *
-                            bx_n +
-                        (x / block_size);
-                    if (--block_live[bi] == 0)
-                        t_mask[bi] = 1;
-                }
-            };
-            BoundaryStats bs;
-            if (fast_alpha) {
-                // Fast-alpha: the traversal hands back a vectorized
-                // polynomial alpha (simdExp) per passing pixel.
-                bs = traversal.traverseWith<true>(
-                    local, opacity, &scratch.t_mask,
-                    [&](int x, int y, float a) {
-                        float &t = transmittance[
-                            static_cast<std::size_t>(y) * view_w + x];
-                        if (t < termination_t)
-                            return;
-                        blend_body(x, y, a, t);
-                    },
-                    [](int, int) {});
-            } else {
-                bs = traversal.traverseWith(
-                    local, opacity, &scratch.t_mask,
-                    [&](int x, int y, float q) {
-                        float &t = transmittance[
-                            static_cast<std::size_t>(y) * view_w + x];
-                        if (t < termination_t)
-                            return;
-                        // Lazy alpha: the exp is paid only for live
-                        // pixels, with the traversal's exact
-                        // expression.
-                        float a = std::min(
-                            0.99f, opacity * std::exp(-0.5f * q));
-                        blend_body(x, y, a, t);
-                    },
-                    [](int, int) {});
-            }
+            const simd::FloatV r_v(color.x), g_v(color.y), b_v(color.z);
+            // Vector blend of one lane group: the scalar reference's
+            // per-pixel step (skip terminated pixels, then blend) on
+            // every passing lane at once.  Lanes are distinct pixels,
+            // so their order does not matter.
+            BoundaryStats bs = traversal.traverseWith(
+                local, gs.splat.opacity, &scratch.t_mask,
+                [&](int x, int y, unsigned pass, const simd::FloatV &a) {
+                    const std::size_t p =
+                        static_cast<std::size_t>(y) * view_w + x;
+                    const simd::FloatV t =
+                        simd::FloatV::load(transmittance + p);
+                    const unsigned blend = pass & ~(t < term_v).bits();
+                    if (blend == 0)
+                        return;
+                    const simd::FloatV t_new =
+                        planes.blend(p, simd::MaskV::fromBits(blend), a, t,
+                                     r_v, g_v, b_v);
+                    splat_blends += std::popcount(blend);
+                    // Pixels this group drove below the termination
+                    // threshold update the live/T-mask bookkeeping.
+                    for (unsigned done = blend & (t_new < term_v).bits();
+                         done != 0; done &= done - 1) {
+                        const int px = x + std::countr_zero(done);
+                        --live;
+                        const std::size_t bi =
+                            static_cast<std::size_t>(y / block_size) *
+                                bx_n +
+                            (px / block_size);
+                        if (--block_live[bi] == 0)
+                            t_mask[bi] = 1;
+                    }
+                },
+                [](int, int) {});
             stats.alpha_evals += bs.alpha_evals;
             stats.visited_blocks += bs.visited_blocks;
             stats.influence_pixels += bs.influence_pixels;
@@ -433,6 +422,9 @@ GaussianWiseRenderer::renderView(const GaussianCloud &cloud,
             terminated = true;
         stats.group_trace.push_back(activity);
     }
+
+    planes.addInto(image, view_x0, view_y0, view_w, view_h,
+                   static_cast<std::size_t>(view_w));
 }
 
 void

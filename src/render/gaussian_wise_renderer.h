@@ -81,17 +81,6 @@ struct GaussianWiseConfig
     int subview_size = 0;
 
     /**
-     * Opt-in fast-alpha mode: render() evaluates alpha with the
-     * vectorized polynomial exponential (simd::simdExp, relative
-     * error < 3e-7) instead of std::exp.  NOT bit-identical to
-     * renderReference — the contract is perceptual: >= 55 dB PSNR
-     * against the exact image on every preset scene
-     * (tests/test_gw_equivalence.cc).  Off by default; the bit-
-     * exactness guarantees elsewhere in this header assume it is off.
-     */
-    bool fast_alpha = false;
-
-    /**
      * Copy with degenerate values clamped to the smallest legal
      * setting (group_capacity/block_size >= 1, subview_size >= 0).
      * The renderer constructor applies this, so a zero or negative

@@ -90,8 +90,11 @@ namespace {
  * q >= |d|^2 / max(l1, l2), so alpha = omega * exp(-q/2) < cutoff
  * once |d|^2 > 2 * max(l1, l2) * ln(omega / cutoff).  A 5% slack on
  * the squared radius plus a 3-pixel guard absorbs the rounding of the
- * conic/eigen computations, keeping the skip exact in practice (the
- * equivalence suite verifies bit-identical images).
+ * conic/eigen computations and of alphaFromQ's exponential
+ * (simdExpScalar, relative error < 3e-7, worth less than 1e-6 in q),
+ * keeping the skip exact in practice (the equivalence suite verifies
+ * bit-identical images; tests/test_properties.cc checks the bound
+ * over random splats).
  *
  * Returns a negative sentinel when no finite radius can be proven
  * safe (non-positive cutoff, or a footprint so large the bound
@@ -117,9 +120,11 @@ cutoffRadius(const Splat &s, float alpha_cutoff, int max_dim)
  * Quadratic-form value at which alpha crosses @p alpha_cutoff, plus a
  * margin: alpha = omega * exp(-q/2) < cutoff whenever
  * q > 2 ln(omega / cutoff).  The 0.2 margin (alpha a further ~10%
- * below the cutoff) absorbs the rounding of the float exp and the
- * float quadratic form, so skipping exp for q above the threshold
- * can never flip a pass/fail decision the reference path makes.
+ * below the cutoff) dwarfs the error of alphaFromQ's exponential
+ * (simdExpScalar, relative error < 3e-7) and the rounding of the
+ * float quadratic form, so skipping alpha for q above the threshold
+ * can never flip a pass/fail decision the reference path makes
+ * (tests/test_properties.cc checks this over random splats).
  */
 float
 qSkipThreshold(float opacity, float alpha_cutoff)

@@ -99,7 +99,7 @@ struct SplatSoA
         /**
          * Quadratic-form threshold above which alpha is provably
          * below the configured cutoff (the exact crossing plus a
-         * safety margin), letting the blend loop skip the exp() for
+         * safety margin), letting the blend loop skip alphaFromQ for
          * dead-tail pixels without changing any pass/fail decision.
          * +inf when the cutoff is non-positive.
          */

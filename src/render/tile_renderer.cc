@@ -8,6 +8,7 @@
 
 #include "gsmath/simd.h"
 #include "gsmath/sort_keys.h"
+#include "render/blend_planes.h"
 #include "obs/metrics_registry.h"
 #include "obs/perf_recorder.h"
 #include "runtime/parallel_for.h"
@@ -91,10 +92,14 @@ bitonicPassKeys(std::size_t list_len)
 /** Sub-tile granularity of the VRU array-pass accounting. */
 constexpr int kSub = 8;
 
-/** Reusable per-worker buffers of the tile raster kernel. */
+/**
+ * Reusable per-worker buffers of the tile raster kernel.  The pixel
+ * planes are tile-local, row-major with stride tile_size.
+ */
 struct TileScratch
 {
-    std::vector<float> tile_t;   ///< per-pixel transmittance
+    BlendPlanes planes;          ///< per-pixel T and blended colour
+    std::vector<float> tile_d;   ///< captured surface depth (padded)
     std::vector<int> sub_live;   ///< live-pixel counts per 8x8 subtile
     std::vector<int> row_live;   ///< live-pixel counts per tile row
 };
@@ -116,6 +121,13 @@ struct TileScratch
  * never get that opaque.  The tile's depth_out block must be zero on
  * entry, like the pixels.  Blending math and stats are untouched, so
  * bit-identity with the depth-less call is preserved.
+ *
+ * The blend runs kWidth pixels per step: every lane performs the
+ * reference's per-pixel op sequence (q, alphaFromQ, the termination
+ * and cutoff tests, colour += c * (a * T), T *= 1 - a), so the
+ * tile-local planes hold exactly the values the scalar loop would
+ * accumulate in the image, and they are added into it once at the
+ * end.
  */
 void
 rasterOneTile(const TileRendererConfig &config, const SplatSoA &soa,
@@ -128,15 +140,19 @@ rasterOneTile(const TileRendererConfig &config, const SplatSoA &soa,
 {
     const int tile = config.tile_size;
     const int sub_n = (tile + kSub - 1) / kSub;
-    const bool fast_alpha = config.fast_alpha;
 
     int x0 = bx * tile;
     int y0 = by * tile;
     int x1 = std::min(x0 + tile, width);
     int y1 = std::min(y0 + tile, height);
     int live = (x1 - x0) * (y1 - y0);
-    scratch.tile_t.assign(static_cast<std::size_t>(tile) * tile, 1.0f);
-    std::vector<float> &tile_t = scratch.tile_t;
+    const std::size_t tile_px = static_cast<std::size_t>(tile) * tile;
+    BlendPlanes &planes = scratch.planes;
+    planes.reset(tile_px);
+    if (depth_out != nullptr)
+        scratch.tile_d.assign(tile_px + simd::kWidth, 0.0f);
+    const float *const tile_t = planes.t.data();
+    float *const tile_d = scratch.tile_d.data();
 
     // Per-subtile live-pixel counts (8x8 granularity): the VRU
     // processes one subtile per array pass in lockstep.  Per-row
@@ -151,6 +167,10 @@ rasterOneTile(const TileRendererConfig &config, const SplatSoA &soa,
         for (int x = x0; x < x1; ++x)
             ++sub_live[((y - y0) / kSub) * sub_n + (x - x0) / kSub];
     }
+
+    const simd::FloatV half_v(0.5f);
+    const simd::FloatV term_v(config.termination_t);
+    const simd::FloatV cutoff_v(config.alpha_cutoff);
 
     for (std::size_t e = 0; e < list_len; ++e) {
         if (live == 0)
@@ -185,98 +205,85 @@ rasterOneTile(const TileRendererConfig &config, const SplatSoA &soa,
         const int rx1 = std::min(x1 - 1, b.it_x1);
         const int ry0 = std::max(y0, b.it_y0);
         const int ry1 = std::min(y1 - 1, b.it_y1);
-        // Conic and thresholds broadcast once per splat; the row
-        // loop below evaluates q for kWidth pixels per step with
-        // each lane running the scalar op sequence exactly (same
-        // dx/dy derivation, same multiply/add order), so the
-        // pass/fail decisions — and therefore the image and stats —
-        // are bit-identical to the scalar reference.
+        // Splat constants broadcast once.  q is evaluated for kWidth
+        // pixels per step with each lane running the scalar op
+        // sequence exactly (same dx/dy derivation, same multiply/add
+        // order); lanes with q > q_skip are provably below the alpha
+        // cutoff, and a group with none left skips the exp.
         const simd::FloatV c00v(b.c00), c01v(b.c01);
         const simd::FloatV c10v(b.c10), c11v(b.c11);
         const simd::FloatV cxv(b.cx);
         const simd::FloatV q_skip_v(b.q_skip);
-        const simd::FloatV half_v(0.5f);
-        // (An earlier revision solved a per-row quadratic interval
-        // in double to trim dead row tails; with rows clipped to the
-        // tile and evaluated kWidth lanes per step under the q_skip
-        // mask, the sqrt-per-row solve cost more than the tails it
-        // saved — the mask makes the same pass/fail decisions
-        // bit-identically.)
+        const simd::FloatV omega_v(b.opacity);
+        const simd::FloatV r_v(b.r), g_v(b.g), b_v(b.b);
+        const simd::FloatV depth_v(depth_out != nullptr ? splat_depth[si]
+                                                        : 0.0f);
+        std::int64_t splat_blends = 0;
         for (int y = ry0; y <= ry1; ++y) {
             if (row_live[y - y0] == 0)
                 continue;  // every pixel in the row terminated
-            const float py = static_cast<float>(y) + 0.5f;
-            const int row_x0 = rx0;
-            const int row_x1 = rx1;
-            const float dy_row = py - b.cy;
-            const simd::FloatV dyv(dy_row);
-            float *trow =
-                tile_t.data() + static_cast<std::size_t>(y - y0) * tile;
-            for (int x = row_x0; x <= row_x1; x += simd::kWidth) {
-                const int nlane =
-                    std::min<int>(simd::kWidth, row_x1 - x + 1);
-                simd::FloatV dx =
+            const simd::FloatV dyv((static_cast<float>(y) + 0.5f) - b.cy);
+            const std::size_t row = static_cast<std::size_t>(y - y0) * tile;
+            for (int x = rx0; x <= rx1; x += simd::kWidth) {
+                const int nlane = std::min<int>(simd::kWidth, rx1 - x + 1);
+                const simd::FloatV dx =
                     (simd::FloatV::iotaFrom(x) + half_v) - cxv;
-                simd::FloatV q = dx * (c00v * dx + c01v * dyv) +
-                                 dyv * (c10v * dx + c11v * dyv);
+                const simd::FloatV q = dx * (c00v * dx + c01v * dyv) +
+                                       dyv * (c10v * dx + c11v * dyv);
                 // Mirrors the scalar `q > q_skip -> skip` comparison
                 // exactly (incl. NaN ordering).
-                unsigned bits = simd::MaskV::firstN(nlane).bits() &
-                                ~(q > q_skip_v).bits();
-                if (bits == 0)
+                unsigned blend = simd::MaskV::firstN(nlane).bits() &
+                                 ~(q > q_skip_v).bits();
+                if (blend == 0)
                     continue;  // all lanes provably sub-cutoff
-                float qlane[simd::kWidth];
-                float alane[simd::kWidth];
-                if (fast_alpha)
-                    simd::min(simd::FloatV(0.99f),
-                              simd::FloatV(b.opacity) *
-                                  simd::simdExp(q * simd::FloatV(-0.5f)))
-                        .store(alane);
-                else
-                    q.store(qlane);
-                // Surviving lanes compact into the exact scalar
-                // alpha/blend path, front-to-back in x order.
-                do {
-                    const int i = std::countr_zero(bits);
-                    bits &= bits - 1;
-                    const int px = x + i;
-                    float &t = trow[px - x0];
-                    if (t < config.termination_t)
-                        continue;
-                    float a;
-                    if (fast_alpha) {
-                        a = alane[i];
-                    } else {
-                        a = b.opacity * std::exp(-0.5f * qlane[i]);
-                        if (a > 0.99f)
-                            a = 0.99f;
-                    }
-                    if (a < config.alpha_cutoff)
-                        continue;
-                    ++st.blend_ops;
-                    contributed[si >> 6] |= std::uint64_t{1} << (si & 63);
-                    image.at(px, y) += Vec3(b.r, b.g, b.b) * (a * t);
-                    const float t_prev = t;
-                    t *= 1.0f - a;
-                    if (depth_out != nullptr) {
-                        float &dz =
-                            depth_out[static_cast<std::size_t>(y) *
-                                          width +
-                                      px];
-                        if (dz == 0.0f ||
-                            (t_prev >= 0.5f && t < 0.5f))
-                            dz = splat_depth[si];
-                    }
-                    if (t < config.termination_t) {
-                        --live;
-                        --row_live[y - y0];
-                        --sub_live[((y - y0) / kSub) * sub_n +
-                                   (px - x0) / kSub];
-                    }
-                } while (bits != 0);
+                const std::size_t p = row + (x - x0);
+                const simd::FloatV t = simd::FloatV::load(tile_t + p);
+                blend &= ~(t < term_v).bits();
+                if (blend == 0)
+                    continue;  // every candidate lane terminated
+                const simd::FloatV a = alphaFromQ(q, omega_v);
+                blend &= ~(a < cutoff_v).bits();
+                if (blend == 0)
+                    continue;
+                const simd::MaskV m = simd::MaskV::fromBits(blend);
+                const simd::FloatV t_new =
+                    planes.blend(p, m, a, t, r_v, g_v, b_v);
+                splat_blends += std::popcount(blend);
+                if (depth_out != nullptr) {
+                    // First contributor, or the splat that drags T
+                    // across one half (the median surface).
+                    const simd::FloatV d = simd::FloatV::load(tile_d + p);
+                    const simd::MaskV take =
+                        m & ((d == simd::FloatV(0.0f)) |
+                             ((t >= half_v) & (t_new < half_v)));
+                    simd::select(take, depth_v, d).store(tile_d + p);
+                }
+                // Only lanes that just terminated touch the live
+                // counters.
+                for (unsigned done = blend & (t_new < term_v).bits();
+                     done != 0; done &= done - 1) {
+                    const int px = x + std::countr_zero(done);
+                    --live;
+                    --row_live[y - y0];
+                    --sub_live[((y - y0) / kSub) * sub_n +
+                               (px - x0) / kSub];
+                }
             }
         }
+        if (splat_blends > 0) {
+            st.blend_ops += splat_blends;
+            contributed[si >> 6] |= std::uint64_t{1} << (si & 63);
+        }
     }
+
+    planes.addInto(image, x0, y0, x1 - x0, y1 - y0,
+                   static_cast<std::size_t>(tile));
+    if (depth_out != nullptr)
+        for (int y = y0; y < y1; ++y)
+            std::copy_n(tile_d + static_cast<std::size_t>(y - y0) * tile,
+                        x1 - x0,
+                        depth_out + static_cast<std::size_t>(y) * width +
+                            x0);
 }
 
 /**
@@ -568,7 +575,6 @@ TileRenderer::renderTemporal(const GaussianCloud &cloud,
          cache.bounding_ != config_.bounding ||
          cache.termination_t_ != config_.termination_t ||
          cache.alpha_cutoff_ != config_.alpha_cutoff ||
-         cache.fast_alpha_ != config_.fast_alpha ||
          cache.cloud_size_ != cloud.size())) {
         cache.valid_ = false;
         cache.exact_valid_ = false;
@@ -904,7 +910,6 @@ TileRenderer::renderTemporal(const GaussianCloud &cloud,
     cache.bounding_ = config_.bounding;
     cache.termination_t_ = config_.termination_t;
     cache.alpha_cutoff_ = config_.alpha_cutoff;
-    cache.fast_alpha_ = config_.fast_alpha;
     cache.cloud_size_ = cloud.size();
     cache.camera_ = cam;
     cache.soa_ = std::move(soa);

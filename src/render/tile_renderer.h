@@ -55,18 +55,6 @@ struct TileRendererConfig
     float alpha_cutoff = kAlphaMin;           ///< min blended alpha
 
     /**
-     * Opt-in fast-alpha mode: render() evaluates alpha with the
-     * vectorized polynomial exponential (simd::simdExp, relative
-     * error < 3e-7) instead of std::exp.  NOT bit-identical to
-     * renderReference — the contract is perceptual: >= 55 dB PSNR
-     * against the exact image on every preset scene
-     * (tests/test_renderer_equivalence.cc).  Off by default; every
-     * bit-exactness guarantee elsewhere in this header assumes it is
-     * off.
-     */
-    bool fast_alpha = false;
-
-    /**
      * Near-exact settings used as the quality ground truth of Table 2:
      * generous bounds, negligible cutoffs — removes every
      * approximation the three pipelines differ in.

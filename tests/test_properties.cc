@@ -4,12 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
 
 #include "core/accelerator.h"
 #include "gsmath/fixed_point.h"
 #include "render/gaussian_wise_renderer.h"
 #include "render/metrics.h"
+#include "render/splat_soa.h"
 #include "render/tile_renderer.h"
 #include "test_util.h"
 
@@ -193,6 +195,82 @@ TEST(BlendingInvariants, TransmittanceNeverIncreasesAndColorBounded)
         EXPECT_LE(color.z, max_channel + 1e-4f);
         EXPECT_GE(t, 0.0f);
     }
+}
+
+// ---------------------------------------------------------------------
+// The tile kernel's skip bounds hold under the one alpha function.
+// ---------------------------------------------------------------------
+
+/**
+ * The tile renderer skips alphaFromQ for pixels with q > q_skip and
+ * never walks pixels outside the cutoff-safe rect; both skips are
+ * sound only if no such pixel could reach alpha >= alpha_cutoff.
+ * Over seeded random splats (anisotropic, rotated, opacities from
+ * just above the cutoff to above the 0.99 clamp, two cutoffs), every
+ * skipped pixel must stay below the cutoff.
+ */
+TEST(AlphaSkipBounds, NoSkippedPixelReachesTheCutoff)
+{
+    constexpr int kW = 160, kH = 128;
+    std::mt19937 rng(67);
+    std::uniform_real_distribution<float> upos(20.0f, 140.0f);
+    std::uniform_real_distribution<float> ulog_var(-1.0f, 5.0f);
+    std::uniform_real_distribution<float> uangle(0.0f, 3.14159265f);
+    std::uniform_real_distribution<float> uomega(0.0f, 1.0f);
+    std::int64_t tested = 0, near_cutoff = 0;
+    for (float cutoff : {kAlphaMin, 1e-6f}) {
+        for (int trial = 0; trial < 300; ++trial) {
+            const float l1 = std::exp(ulog_var(rng));
+            const float l2 = std::exp(ulog_var(rng));
+            const float th = uangle(rng);
+            const float c = std::cos(th), sn = std::sin(th);
+            const Mat2 cov(c * c * l1 + sn * sn * l2, c * sn * (l1 - l2),
+                           c * sn * (l1 - l2), sn * sn * l1 + c * c * l2);
+            Splat sp;
+            sp.ellipse =
+                Ellipse::fromCovariance(Vec2(upos(rng), upos(rng)), cov);
+            // Opacity spans [cutoff, 1.2]: near-cutoff splats have the
+            // thinnest margin, > 0.99 exercises the clamp.
+            sp.opacity = cutoff + uomega(rng) * (1.2f - cutoff);
+            sp.radius_3sigma = radius3Sigma(sp.ellipse.eig);
+            sp.radius_omega = radiusOmegaSigma(sp.ellipse.eig, sp.opacity);
+            SplatSoA soa = SplatSoA::build({sp}, BoundingMode::Obb3Sigma,
+                                           16, cutoff, kW, kH);
+            const SplatSoA::Blend &b = soa.blend[0];
+            for (int y = 0; y < kH; ++y) {
+                for (int x = 0; x < kW; ++x) {
+                    // The kernel's q (same op order as the lanes).
+                    const float dx = (static_cast<float>(x) + 0.5f) - b.cx;
+                    const float dy = (static_cast<float>(y) + 0.5f) - b.cy;
+                    const float q = dx * (b.c00 * dx + b.c01 * dy) +
+                                    dy * (b.c10 * dx + b.c11 * dy);
+                    const bool outside_rect =
+                        x < b.it_x0 || x > b.it_x1 || y < b.it_y0 ||
+                        y > b.it_y1;
+                    if (q <= b.q_skip && !outside_rect)
+                        continue;
+                    ++tested;
+                    const float a = alphaFromQ(q, b.opacity);
+                    if (a >= 0.5f * cutoff)
+                        ++near_cutoff;
+                    ASSERT_LT(a, cutoff)
+                        << "trial " << trial << " pixel (" << x << ", "
+                        << y << ") q " << q << " q_skip " << b.q_skip;
+                    // The reference evaluates the same pixel through
+                    // Ellipse::alphaAt: identical value.
+                    EXPECT_EQ(sp.ellipse.alphaAt(
+                                  Vec2(static_cast<float>(x) + 0.5f,
+                                       static_cast<float>(y) + 0.5f),
+                                  sp.opacity),
+                              a);
+                }
+            }
+        }
+    }
+    EXPECT_GT(tested, 1000000);
+    // The margins are exercised, not vacuous: some skipped pixels sit
+    // within a factor of two of the cutoff.
+    EXPECT_GT(near_cutoff, 0);
 }
 
 // ---------------------------------------------------------------------

@@ -19,6 +19,7 @@
 #include <random>
 #include <vector>
 
+#include "gsmath/ellipse.h"
 #include "gsmath/simd.h"
 
 namespace gcc3d {
@@ -164,6 +165,30 @@ TEST(Simd, MaskOpsAndFirstN)
     MaskV b = MaskV::firstN(kWidth);
     EXPECT_EQ((a & b).bits(), a.bits());
     EXPECT_EQ((a | b).bits(), b.bits());
+}
+
+TEST(Simd, FromBitsInvertsBits)
+{
+    // Every lane pattern round-trips, lane by lane, on any width; bits
+    // at and above kWidth are ignored.
+    for (unsigned b = 0; b < (1u << kWidth); ++b) {
+        MaskV m = MaskV::fromBits(b);
+        EXPECT_EQ(m.bits(), b);
+        EXPECT_EQ(MaskV::fromBits(b | (~0u << kWidth)).bits(), b);
+        // Lanes are all-ones / all-zeros, so select takes whole lanes.
+        float ones[kWidth], zeros[kWidth] = {};
+        for (int l = 0; l < kWidth; ++l)
+            ones[l] = static_cast<float>(l + 1);
+        float out[kWidth];
+        simd::select(m, FloatV::load(ones), FloatV::load(zeros))
+            .store(out);
+        for (int l = 0; l < kWidth; ++l)
+            EXPECT_TRUE(bitEqual(out[l], (b >> l) & 1u ? ones[l] : 0.0f))
+                << "bits " << b << " lane " << l;
+    }
+    EXPECT_EQ(MaskV::fromBits(0).bits(), MaskV::firstN(0).bits());
+    EXPECT_EQ(MaskV::fromBits((1u << kWidth) - 1u).bits(),
+              MaskV::firstN(kWidth).bits());
 }
 
 TEST(Simd, SelectPicksPerLane)
@@ -342,10 +367,38 @@ TEST(Simd, SimdExpLaneIdenticalToScalarTranscription)
     }
 }
 
+TEST(Simd, AlphaFromQLaneIdenticalToScalar)
+{
+    // The vector kernels and the scalar references share one alpha
+    // definition; every lane must equal the scalar alphaFromQ of the
+    // same (q, omega), including the 0.99 clamp and degenerate q.
+    std::mt19937 rng(41);
+    std::uniform_real_distribution<float> uq(-1.0f, 40.0f);
+    std::uniform_real_distribution<float> uw(0.0f, 1.5f);
+    float q[kWidth], w[kWidth], out[kWidth];
+    for (int iter = 0; iter < 4000; ++iter) {
+        for (int l = 0; l < kWidth; ++l) {
+            q[l] = uq(rng);
+            w[l] = uw(rng);
+        }
+        if (iter == 0) {
+            const float edges[] = {0.0f, -0.0f, kInf, kNan, 1e-30f};
+            for (int l = 0; l < kWidth; ++l)
+                q[l] = edges[l % 5];
+        }
+        alphaFromQ(FloatV::load(q), FloatV::load(w)).store(out);
+        for (int l = 0; l < kWidth; ++l)
+            EXPECT_TRUE(bitEqual(out[l], alphaFromQ(q[l], w[l])))
+                << "alpha(" << q[l] << ", " << w[l] << ")";
+    }
+    EXPECT_EQ(alphaFromQ(0.0f, 5.0f), 0.99f);
+    EXPECT_EQ(alphaFromQ(0.0f, 0.5f), 0.5f);
+}
+
 TEST(Simd, SimdExpAccuracyVsStdExp)
 {
-    // The fast-alpha renderers feed exponents in [-6, 0]; the layer
-    // contract covers the whole clamp interval.
+    // Alpha feeds exponents in [-6, 0]; the layer contract covers the
+    // whole clamp interval.
     std::mt19937 rng(29);
     std::uniform_real_distribution<float> u(-87.0f, 0.0f);
     double max_rel = 0.0;
